@@ -16,7 +16,7 @@ import (
 // parallel replayer must render every read surface — RDAP bodies and ETags,
 // WHOIS replies, the dropscope pending-delete list — byte-identical to the
 // sequentially recovered twin and to the original store. Three seeds, with a
-// v2 snapshot plus a WAL tail that includes a Drop, so purge ordering (the
+// snapshot plus a WAL tail that includes a Drop, so purge ordering (the
 // archive rank order dropscope exposes) is covered too. Run under -race this
 // doubles as the synchronisation check on the replay pipeline.
 func TestRecoverySurfacesDifferential(t *testing.T) {

@@ -3,8 +3,6 @@ package journal
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -51,9 +49,8 @@ func BenchmarkWALAppend(b *testing.B) {
 
 // buildRecoveryDir populates a journal directory with n domains, a snapshot
 // at 90% of the population and a WAL tail holding the remaining 10% — the
-// shape a crash between periodic snapshots produces. It returns the
-// directory and the snapshot's covered sequence.
-func buildRecoveryDir(b *testing.B, n int) (string, uint64) {
+// shape a crash between periodic snapshots produces.
+func buildRecoveryDir(b *testing.B, n int) string {
 	b.Helper()
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
 	dir := b.TempDir()
@@ -66,7 +63,6 @@ func buildRecoveryDir(b *testing.B, n int) (string, uint64) {
 	s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Bench Reg"})
 	at := start.At(10, 0, 0)
 	snapAt := n - n/10
-	var snapSeq uint64
 	for i := 0; i < n; i++ {
 		if _, err := s.CreateAt(fmt.Sprintf("rc%07d.com", i), 900, 1, at); err != nil {
 			b.Fatal(err)
@@ -75,49 +71,20 @@ func buildRecoveryDir(b *testing.B, n int) (string, uint64) {
 			if err := j.Snapshot(nil); err != nil {
 				b.Fatal(err)
 			}
-			snapSeq = j.LastSeq()
 		}
 	}
 	if err := j.Close(); err != nil {
 		b.Fatal(err)
 	}
-	return dir, snapSeq
-}
-
-// cloneDirWithV1Snapshot hardlinks dir's WAL segments into a fresh directory
-// and converts its v2 snapshot to the v1 gob format at the same sequence, so
-// the pre-upgrade recovery path runs against an identical history.
-func cloneDirWithV1Snapshot(b *testing.B, dir string, snapSeq uint64) string {
-	b.Helper()
-	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
-	v1dir := b.TempDir()
-	segs, _, err := listSegments(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, seg := range segs {
-		if err := os.Link(filepath.Join(dir, seg), filepath.Join(v1dir, seg)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tmp := registry.NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
-	sr, err := restoreLatestSnapshot(tmp, dir, 0)
-	if err != nil || !sr.found || sr.seq != snapSeq {
-		b.Fatalf("loading v2 snapshot for conversion: %+v %v", sr, err)
-	}
-	st := tmp.CaptureSnapshotSharded()
-	if _, err := writeSnapshot(v1dir, &snapshotFile{Seq: snapSeq, State: st.Flatten()}); err != nil {
-		b.Fatal(err)
-	}
-	return v1dir
+	return dir
 }
 
 // BenchmarkRecovery measures cold-start recovery of a populated store —
 // snapshot load plus WAL tail replay — at 100k and (without -short) 1M
-// domains, across the format/parallelism matrix: the pre-upgrade v1 gob
-// snapshot with sequential replay, the v2 sectioned snapshot restored
-// sequentially, and the full parallel pipeline (worker per core). The
-// parallel/sequential ratio only shows on multi-core runs (-cpu 4 in CI).
+// domains, sequentially and with the full parallel pipeline (worker per
+// core). The parallel/sequential ratio only shows on multi-core runs (-cpu 4
+// in CI). The sub-benchmark names keep their historical v2- prefix so the
+// perf trajectory stays comparable.
 func BenchmarkRecovery(b *testing.B) {
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
 	sizes := []int{100_000, 1_000_000}
@@ -125,22 +92,19 @@ func BenchmarkRecovery(b *testing.B) {
 		sizes = []int{100_000}
 	}
 	for _, n := range sizes {
-		dir, snapSeq := buildRecoveryDir(b, n)
-		v1dir := cloneDirWithV1Snapshot(b, dir, snapSeq)
+		dir := buildRecoveryDir(b, n)
 		for _, v := range []struct {
 			name        string
-			dir         string
 			parallelism int
 		}{
-			{"v1-gob", v1dir, 1},
-			{"v2-seq", dir, 1},
-			{"v2-parallel", dir, 0},
+			{"v2-seq", 1},
+			{"v2-parallel", 0},
 		} {
 			b.Run(fmt.Sprintf("domains=%d/%s", n, v.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					s2 := registry.NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
 					t0 := time.Now()
-					j2, rec, err := Open(s2, Options{Dir: v.dir, Mode: ModeAsync, RecoveryParallelism: v.parallelism})
+					j2, rec, err := Open(s2, Options{Dir: dir, Mode: ModeAsync, RecoveryParallelism: v.parallelism})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -158,8 +122,8 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // BenchmarkSnapshotCapture measures producing one snapshot of a 200k-domain
-// store — state capture plus encode plus the atomic file write — in the v1
-// gob format and the v2 sectioned format, sequential and parallel.
+// store — state capture plus encode plus the atomic file write — with
+// sequential and parallel section encoding.
 func BenchmarkSnapshotCapture(b *testing.B) {
 	const n = 200_000
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
@@ -171,15 +135,6 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("v1-gob", func(b *testing.B) {
-		dir := b.TempDir()
-		for i := 0; i < b.N; i++ {
-			st := s.CaptureSnapshotSharded()
-			if _, err := writeSnapshot(dir, &snapshotFile{Seq: 1, State: st.Flatten()}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, v := range []struct {
 		name    string
 		workers int
@@ -187,8 +142,8 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			dir := b.TempDir()
 			for i := 0; i < b.N; i++ {
-				st := s.CaptureSnapshotSharded()
-				if _, err := writeSnapshotV2(dir, 1, nil, &st, v.workers); err != nil {
+				st := s.CaptureSnapshot()
+				if _, err := writeSnapshot(dir, 1, nil, &st, v.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

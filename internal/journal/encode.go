@@ -1,9 +1,7 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sort"
@@ -33,12 +31,10 @@ import (
 // records use. Decoding is defensive everywhere — the torn-write fuzz test
 // feeds this arbitrary bytes and a panic would be a recovery bug.
 //
-// MutAddRegistrar originally carried its registrar as a length-prefixed gob
-// blob; gob cannot be told apart from the binary layout by sniffing, so the
-// binary form claims a fresh wire kind byte instead of reusing kind 1. New
-// appends always write wireAddRegistrarBin; the decoder accepts both
-// spellings forever, keeping pre-upgrade segments replayable while the
-// append and replay hot paths never touch encoding/gob.
+// MutAddRegistrar claims a wire kind byte of its own (wireAddRegistrarBin)
+// rather than its MutKind value 1: kind 1 once spelled a record whose
+// registrar rode as a length-prefixed gob blob. That spelling is retired,
+// and a record carrying it is rejected as corrupt.
 
 // wireAddRegistrarBin is the on-wire kind byte of a MutAddRegistrar record
 // whose registrar payload uses the hand-rolled binary codec (IANAID varint,
@@ -66,7 +62,7 @@ func appendString(b []byte, s string) []byte {
 }
 
 // appendRegistrar serialises r after b with the same varint/string
-// primitives as the mutation fields. Shared by the WAL codec and the v2
+// primitives as the mutation fields. Shared by the WAL codec and the
 // snapshot's meta section.
 func appendRegistrar(b []byte, r *model.Registrar) []byte {
 	b = binary.AppendVarint(b, int64(r.IANAID))
@@ -81,7 +77,7 @@ func appendRegistrar(b []byte, r *model.Registrar) []byte {
 }
 
 // appendZone serialises z after b with the same varint/string primitives as
-// the mutation fields. Shared by the WAL codec and the v3 snapshot's meta
+// the mutation fields. Shared by the WAL codec and the snapshot's meta
 // section. Field order is part of the on-disk format.
 func appendZone(b []byte, z *zone.Config) []byte {
 	b = appendString(b, z.Name)
@@ -326,12 +322,13 @@ func decodeMutation(b []byte) (registry.Mutation, error) {
 	if err != nil {
 		return m, err
 	}
-	binReg := kind == wireAddRegistrarBin
-	switch {
-	case binReg:
+	switch kind {
+	case wireAddRegistrarBin:
 		m.Kind = registry.MutAddRegistrar
-	case kind == wireAddZoneBin:
+	case wireAddZoneBin:
 		m.Kind = registry.MutAddZone
+	case byte(registry.MutAddRegistrar):
+		return m, fmt.Errorf("journal: addRegistrar record under its retired wire kind %d", kind)
 	default:
 		m.Kind = registry.MutKind(kind)
 	}
@@ -387,19 +384,8 @@ func decodeMutation(b []byte) (registry.Mutation, error) {
 		}
 	}
 	if m.Kind == registry.MutAddRegistrar {
-		if binReg {
-			if m.Registrar, err = d.registrar(); err != nil {
-				return m, err
-			}
-		} else {
-			// Pre-upgrade segment: the registrar rode as a gob blob.
-			blob, err := d.str()
-			if err != nil {
-				return m, err
-			}
-			if err := gob.NewDecoder(bytes.NewReader([]byte(blob))).Decode(&m.Registrar); err != nil {
-				return m, fmt.Errorf("journal: decode registrar: %w", err)
-			}
+		if m.Registrar, err = d.registrar(); err != nil {
+			return m, err
 		}
 	}
 	if len(d.b) != 0 {

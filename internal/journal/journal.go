@@ -122,8 +122,7 @@ func (o *Options) defaults() error {
 type RecoveryTimings struct {
 	// SnapshotRead is the snapshot file read.
 	SnapshotRead time.Duration
-	// SnapshotDecode is verification: the framing+CRC validation pass (v2)
-	// or the gob decode (v1).
+	// SnapshotDecode is verification: the framing+CRC validation pass.
 	SnapshotDecode time.Duration
 	// SnapshotInstall is decoding and installing the state into the store.
 	SnapshotInstall time.Duration
@@ -305,7 +304,7 @@ func Replay(store *registry.Store, dir string) (Recovery, uint64, error) {
 // caller guarantees store already reflects every record ≤ lastSeq. This is
 // the promotion path — a replica that finished applying its durable shipped
 // log takes over the write role, and re-running recovery against its live,
-// serving store (RestoreSnapshot demands an empty one) is neither possible
+// serving store (snapshot restore demands an empty one) is neither possible
 // nor needed. Appends continue at lastSeq+1 in a fresh segment.
 func OpenExisting(store *registry.Store, o Options, lastSeq uint64) (*Journal, error) {
 	if err := o.defaults(); err != nil {
@@ -456,16 +455,16 @@ func (j *Journal) Snapshot(appState []byte) error {
 	for attempt := 1; attempt <= maxAttempts && !captured; attempt++ {
 		g1 := j.store.Generation()
 		seq = j.w.lastSeq()
-		state = j.store.CaptureSnapshotSharded()
+		state = j.store.CaptureSnapshot()
 		captured = j.store.Generation() == g1
 		if !captured && attempt < maxAttempts {
 			time.Sleep(time.Duration(attempt) * time.Millisecond)
 		}
 	}
 	if !captured {
-		state, seq = j.store.CaptureSnapshotShardedQuiesced(j.w.lastSeq)
+		state, seq = j.store.CaptureSnapshotQuiesced(j.w.lastSeq)
 	}
-	if _, err := writeSnapshotV2(j.w.dir, seq, appState, &state, j.workers); err != nil {
+	if _, err := writeSnapshot(j.w.dir, seq, appState, &state, j.workers); err != nil {
 		return err
 	}
 	if !j.keepAll {

@@ -572,6 +572,21 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 			t.Errorf("mutation %d: zero-time sentinel lost", i)
 		}
 	}
+
+	// New MutAddRegistrar appends claim the binary wire kind. The retired
+	// kind-1 spelling (its registrar once rode as a gob blob) is corrupt,
+	// even with an otherwise well-formed binary payload behind it.
+	b, err := appendMutation(nil, &muts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b[0] != wireAddRegistrarBin {
+		t.Fatalf("new append wrote wire kind %#x, want %#x", b[0], wireAddRegistrarBin)
+	}
+	old := append([]byte{byte(registry.MutAddRegistrar)}, b[1:]...)
+	if got, err := decodeMutation(old); err == nil {
+		t.Fatalf("kind-1 MutAddRegistrar payload accepted: %+v", got)
+	}
 }
 
 // TestSegmentRotation: a tiny segment limit forces rotation; recovery must

@@ -19,28 +19,7 @@ func testNordic() zone.Config {
 	}
 }
 
-// A default-only store must keep writing the v2 snapshot format, bit for
-// bit in magic: pre-federation snapshot archives and the federation code
-// must stay mutually readable in both directions.
-func TestSnapshotDefaultZoneStaysV2(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
-	workout(t, s, 7, 60)
-	if err := j.Snapshot(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, data := latestSnapshotBytes(t, dir)
-	if got := string(data[:len(snapMagic2)]); got != snapMagic2 {
-		t.Fatalf("default-only snapshot magic %q, want %q", got, snapMagic2)
-	}
-}
-
-// A multi-zone store snapshots as v3 and the snapshot alone (empty tail)
+// A multi-zone store snapshots its zone table and the snapshot alone (empty tail)
 // restores the zone table along with the extra zone's domains.
 func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -65,8 +44,8 @@ func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 	}
 
 	_, data := latestSnapshotBytes(t, dir)
-	if got := string(data[:len(snapMagic3)]); got != snapMagic3 {
-		t.Fatalf("multi-zone snapshot magic %q, want %q", got, snapMagic3)
+	if got := string(data[:len(snapMagic)]); got != snapMagic {
+		t.Fatalf("multi-zone snapshot magic %q, want %q", got, snapMagic)
 	}
 
 	s2 := newTestStore()

@@ -391,69 +391,3 @@ type SnapshotDomain struct {
 	Domain   model.Domain
 	AuthInfo string
 }
-
-// SnapshotState is a full copy of the store's durable state: everything
-// recovery needs to rebuild an identical store, and nothing that is
-// process-local (caches, observers, the scan-engine flag).
-type SnapshotState struct {
-	Gen        uint64
-	NextID     uint64
-	Registrars []model.Registrar
-	Domains    []SnapshotDomain
-	Deletions  map[simtime.Day][]model.DeletionEvent
-	// Zones are the zones installed beyond the implicit default .com/.net
-	// one. Empty for pre-federation stores, whose snapshots stay
-	// byte-identical to the pre-federation format.
-	Zones []zone.Config
-}
-
-// CaptureSnapshot copies the store's durable state, visiting the shards one
-// at a time under read locks — it never stops the world. The copy is NOT by
-// itself consistent under concurrent mutation: the snapshotter brackets the
-// call with two Generation() reads and discards the copy unless they match
-// (the same read-render-reread discipline the response caches use), which
-// proves no mutation committed while the copy was taken.
-func (s *Store) CaptureSnapshot() SnapshotState {
-	sh := s.CaptureSnapshotSharded()
-	return sh.Flatten()
-}
-
-// CaptureSnapshotQuiesced copies the store's durable state under a full
-// write quiesce: the registrar table and every shard stay read-locked for
-// the whole copy, so no mutation can commit anywhere in the store while it
-// runs (readers are unaffected — mutators briefly queue behind the held
-// read locks). walSeq is invoked while the quiesce holds; because every
-// journal append happens inside a mutating critical section, the value it
-// returns identifies exactly the last record the copy contains — the
-// consistency CaptureSnapshot gets optimistically from generation
-// bracketing, guaranteed here at the cost of stalling writers for the
-// duration of one full-store copy.
-//
-// Lock order is regMu < shards (ascending index) < delMu, consistent with
-// every other path (mutators take a single shard lock, and only after any
-// regMu use is finished; purge takes delMu inside its shard critical
-// section), so the quiesce introduces no lock-order cycle. This is the
-// snapshotter's fallback when sustained write load keeps defeating the
-// optimistic capture; it is not a hot-path API.
-func (s *Store) CaptureSnapshotQuiesced(walSeq func() uint64) (SnapshotState, uint64) {
-	sh, seq := s.CaptureSnapshotShardedQuiesced(walSeq)
-	return sh.Flatten(), seq
-}
-
-// RestoreSnapshot loads a captured state into an empty store during
-// recovery: registrars, every registration (with its transfer code), the
-// deletion archive, the ID allocator and the generation counter. Replaying
-// the WAL tail on top via Apply then reproduces the exact pre-crash store.
-// Recovery-only: the store must be empty and not yet serving.
-func (s *Store) RestoreSnapshot(st SnapshotState) error {
-	if err := s.RestoreZones(st.Zones); err != nil {
-		return err
-	}
-	s.RestoreRegistrars(st.Registrars)
-	if err := s.InstallRestoredDomains(st.Domains); err != nil {
-		return err
-	}
-	s.MergeRestoredDeletions(st.Deletions)
-	s.FinishRestore(st.Gen, st.NextID)
-	return nil
-}

@@ -11,27 +11,28 @@ import (
 
 // This file is the parallel recovery seam: sharded snapshot capture, a
 // restore API whose pieces are safe for concurrent use, and a per-shard
-// replay entry point. The journal's v2 snapshot codec encodes one section
-// per shard and its pipelined WAL replayer partitions records by the same
-// name hash the live store routes with, so every recovery worker locks
-// exactly the shard it is filling. The flat SnapshotState API remains (the
-// v1 gob format and the replay differential tests speak it); it is now a
-// thin adapter over the sharded form.
+// replay entry point. The journal's snapshot codec encodes one section per
+// shard and its pipelined WAL replayer partitions records by the same name
+// hash the live store routes with, so every recovery worker locks exactly
+// the shard it is filling.
 
-// ShardedSnapshot is a full copy of the store's durable state with the
-// registrations still grouped by the capturing store's shard index — the
-// shape the parallel snapshot codec wants: one independently encodable
-// (and restorable) section per shard. Shards has ShardCount() entries;
-// entry order within a shard is map-iteration order, which no consumer may
-// rely on (restore re-routes every domain by name hash anyway).
+// ShardedSnapshot is a full copy of the store's durable state — everything
+// recovery needs to rebuild an identical store, and nothing process-local
+// (caches, observers) — with the registrations still grouped by the
+// capturing store's shard index: the shape the parallel snapshot codec
+// wants, one independently encodable (and restorable) section per shard.
+// Shards has ShardCount() entries; entry order within a shard is
+// map-iteration order, which no consumer may rely on (restore re-routes
+// every domain by name hash anyway).
 type ShardedSnapshot struct {
 	Gen        uint64
 	NextID     uint64
 	Registrars []model.Registrar
 	Shards     [][]SnapshotDomain
 	Deletions  map[simtime.Day][]model.DeletionEvent
-	// Zones are the zones installed beyond the implicit default one (see
-	// SnapshotState.Zones).
+	// Zones are the zones installed beyond the implicit default .com/.net
+	// one, which is never captured (the WAL never journals it either).
+	// Empty on a default-only store.
 	Zones []zone.Config
 }
 
@@ -44,28 +45,13 @@ func (st *ShardedSnapshot) DomainCount() int {
 	return n
 }
 
-// Flatten converts to the flat SnapshotState shape (shard sections
-// concatenated in index order), for the v1 snapshot writer and tests.
-func (st *ShardedSnapshot) Flatten() SnapshotState {
-	flat := SnapshotState{
-		Gen:        st.Gen,
-		NextID:     st.NextID,
-		Registrars: st.Registrars,
-		Deletions:  st.Deletions,
-		Zones:      st.Zones,
-		Domains:    make([]SnapshotDomain, 0, st.DomainCount()),
-	}
-	for _, sh := range st.Shards {
-		flat.Domains = append(flat.Domains, sh...)
-	}
-	return flat
-}
-
-// CaptureSnapshotSharded is CaptureSnapshot keeping the per-shard grouping.
-// Same consistency contract: the copy visits shards one at a time under
-// read locks and is only consistent if the caller's generation bracketing
-// proves no mutation committed during it.
-func (s *Store) CaptureSnapshotSharded() ShardedSnapshot {
+// CaptureSnapshot copies the store's durable state, visiting the shards one
+// at a time under read locks — it never stops the world. The copy is NOT by
+// itself consistent under concurrent mutation: the snapshotter brackets the
+// call with two Generation() reads and discards the copy unless they match
+// (the same read-render-reread discipline the response caches use), which
+// proves no mutation committed while the copy was taken.
+func (s *Store) CaptureSnapshot() ShardedSnapshot {
 	st := ShardedSnapshot{
 		Registrars: s.Registrars(),
 		Shards:     make([][]SnapshotDomain, len(s.shards)),
@@ -92,10 +78,24 @@ func (s *Store) CaptureSnapshotSharded() ShardedSnapshot {
 	return st
 }
 
-// CaptureSnapshotShardedQuiesced is CaptureSnapshotQuiesced keeping the
-// per-shard grouping; see that method for the quiesce and lock-order
-// argument.
-func (s *Store) CaptureSnapshotShardedQuiesced(walSeq func() uint64) (ShardedSnapshot, uint64) {
+// CaptureSnapshotQuiesced copies the store's durable state under a full
+// write quiesce: the registrar table and every shard stay read-locked for
+// the whole copy, so no mutation can commit anywhere in the store while it
+// runs (readers are unaffected — mutators briefly queue behind the held
+// read locks). walSeq is invoked while the quiesce holds; because every
+// journal append happens inside a mutating critical section, the value it
+// returns identifies exactly the last record the copy contains — the
+// consistency CaptureSnapshot gets optimistically from generation
+// bracketing, guaranteed here at the cost of stalling writers for the
+// duration of one full-store copy.
+//
+// Lock order is regMu < shards (ascending index) < delMu, consistent with
+// every other path (mutators take a single shard lock, and only after any
+// regMu use is finished; purge takes delMu inside its shard critical
+// section), so the quiesce introduces no lock-order cycle. This is the
+// snapshotter's fallback when sustained write load keeps defeating the
+// optimistic capture; it is not a hot-path API.
+func (s *Store) CaptureSnapshotQuiesced(walSeq func() uint64) (ShardedSnapshot, uint64) {
 	s.regMu.RLock()
 	defer s.regMu.RUnlock()
 	for i := range s.shards {
@@ -175,8 +175,8 @@ func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
 // MergeRestoredDeletions appends snapshot deletion-archive days into the
 // store. Safe for concurrent use (the archive lock serialises); each day's
 // events must arrive in archive order within one call, and a given day must
-// come from a single caller (the v2 codec keeps the whole archive in one
-// section, so this holds trivially).
+// come from a single caller (the snapshot codec keeps the whole archive in
+// one section, so this holds trivially).
 func (s *Store) MergeRestoredDeletions(dels map[simtime.Day][]model.DeletionEvent) {
 	s.delMu.Lock()
 	for day, evs := range dels {

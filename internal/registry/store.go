@@ -143,11 +143,6 @@ type Store struct {
 	// exactly the same IDs at any shard count.
 	nextID atomic.Uint64
 
-	// scanEngine routes the daily sweeps through the retained full-scan
-	// reference implementations (scanref.go) instead of the due indexes.
-	// Differential tests and benchmark baselines only.
-	scanEngine atomic.Bool
-
 	// observer is the installed event consumer (pointer-to-interface so nil
 	// can be stored atomically). Mutators load it inside their critical
 	// section and deliver after unlocking.
@@ -246,17 +241,6 @@ func (s *Store) setDuePolicy(p duePolicy) {
 		sh.mu.Unlock()
 	}
 }
-
-// SetScanEngine routes Lifecycle.Tick, DropRunner.BuildQueue and
-// PendingDeletions through the retained full-scan reference implementations
-// instead of the due-day indexes. The indexes are still maintained, so the
-// flag can be flipped at any time; both engines must produce byte-identical
-// results (the differential tests assert exactly that). It exists for those
-// tests and for benchmarking the pre-index baseline — production callers
-// never need it.
-func (s *Store) SetScanEngine(enabled bool) { s.scanEngine.Store(enabled) }
-
-func (s *Store) useScan() bool { return s.scanEngine.Load() }
 
 // Generation returns the store's mutation counter without taking any lock.
 // It increases by (at least) one for every committed mutation of observable
@@ -411,24 +395,6 @@ func (s *Store) splitName(name string) (label string, tld model.TLD, err error) 
 		return "", "", fmt.Errorf("%w: %q", ErrUnknownTLD, name)
 	}
 	return label, tld, nil
-}
-
-// CheckName validates a domain name's syntax and TLD without taking any
-// lock, so protocol front ends can reject garbage before charging
-// rate-limit budget (an invalid-name create must never cost a token).
-//
-// Deprecated: the package-level check can only answer for the default
-// .com/.net zone. Store-backed callers should use Store.CheckName, which
-// consults the store's actual zone set.
-func CheckName(name string) error {
-	_, t, err := splitNameSyntax(name)
-	if err != nil {
-		return err
-	}
-	if !t.Valid() {
-		return fmt.Errorf("%w: %q", ErrUnknownTLD, name)
-	}
-	return nil
 }
 
 // Available reports whether name could be created right now.
@@ -729,9 +695,6 @@ func (s *Store) MarkPendingDelete(name string, updated time.Time, day simtime.Da
 // are unique, so the sort is total and the output is byte-identical at every
 // shard count.
 func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
-	if s.useScan() {
-		return s.pendingDeletionsScan(from, days)
-	}
 	end := from.AddDays(days)
 	n := 0
 	for i := range s.shards {

@@ -99,7 +99,7 @@ func BenchmarkReplicationCatchup(b *testing.B) {
 }
 
 // BenchmarkReplicaBootstrap measures a fresh replica's time-to-first-serve
-// through the snapshot path: the primary holds a v2 snapshot covering ~95%
+// through the snapshot path: the primary holds a snapshot covering ~95%
 // of its history plus a WAL tail, and the follower must ship the snapshot,
 // restore it in parallel, then catch up the tail before it counts as a hot
 // spare. Contrast with BenchmarkReplicationCatchup, which replays the whole

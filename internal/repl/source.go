@@ -192,7 +192,7 @@ func (s *Source) serve(conn net.Conn) error {
 	// the stream, then decide how to start. A fresh follower (position 0)
 	// gets the newest snapshot when one exists — streaming history from
 	// sequence 1 would defeat pruning entirely. A resuming follower has a
-	// live store that only the WAL can advance (RestoreSnapshot needs an
+	// live store that only the WAL can advance (snapshot restore needs an
 	// empty store), so it always gets WAL-only; if pruning already ate its
 	// position the stream fails loudly and the operator re-seeds.
 	release := s.j.Retain(afterSeq)

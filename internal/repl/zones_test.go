@@ -21,7 +21,7 @@ func TestReplicaCarriesZones(t *testing.T) {
 	defer jnl.Close()
 	names := seedPrimary(t, store, 60)
 
-	// Zone one lands before the snapshot (ships inside the v3 snapshot);
+	// Zone one lands before the snapshot (ships inside the snapshot's zone table);
 	// zone two lands after (ships as a WAL-tail MutAddZone record).
 	preSnap := zone.Config{
 		Name: "nordic", TLDs: []model.TLD{"se", "nu"},

@@ -11,6 +11,7 @@ import (
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
+	"dropzero/internal/zone"
 )
 
 func newWorld(t *testing.T) (*registry.Store, *simtime.SimClock) {
@@ -163,6 +164,35 @@ func TestServerFetch(t *testing.T) {
 	}
 	if _, err := Fetch(client, "http://zones.internal", model.TLD("org")); err == nil {
 		t.Fatal("foreign TLD accepted")
+	}
+}
+
+// TestServerFetchHostedZone: the server answers for every TLD the store
+// hosts, not just the default .com/.net zone, and still refuses one it
+// does not host.
+func TestServerFetchHostedZone(t *testing.T) {
+	store, _ := newWorld(t)
+	if err := store.AddZone(zone.Config{
+		Name:      "nordic",
+		TLDs:      []model.TLD{"se", "nu"},
+		Lifecycle: zone.DefaultLifecycleConfig(),
+		Policy:    zone.PolicyInstant,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Create("fjord.se", 1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	client := inproc.Client(NewServer(store).Handler())
+	names, err := Fetch(client, "http://zones.internal", "se")
+	if err != nil {
+		t.Fatalf("hosted zone refused: %v", err)
+	}
+	if len(names) != 1 || !names["fjord.se"] {
+		t.Fatalf("names = %v", names)
+	}
+	if _, err := Fetch(client, "http://zones.internal", "org"); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Fatalf("un-hosted TLD: err = %v, want HTTP 400", err)
 	}
 }
 
