@@ -112,8 +112,8 @@ func NewServer(store *registry.Store) *Server {
 }
 
 // AttachFeed mounts hub's streaming endpoints (/deltas, /deltas/full,
-// /events) on this server's mux, next to the daily list. Call during
-// startup, before the server takes traffic.
+// /events) on this server's mux, next to the daily list. Call it once, at
+// startup or, as a promoted replica does, while serving.
 func (s *Server) AttachFeed(hub *feed.Hub) {
 	hub.Register(s.mux, "")
 }

@@ -7,13 +7,13 @@ import "sync/atomic"
 // only non-zero entries.
 type Metrics struct {
 	// Conns counts connections ever served (TCP accepts plus ServeConn).
-	Conns uint64
+	Conns uint64 `json:"connections"`
 	// Commands counts dispatched requests by command name; unrecognised
 	// commands land under "other".
-	Commands map[string]uint64
+	Commands map[string]uint64 `json:"commands"`
 	// Codes counts responses by EPP result code; codes outside the protocol
 	// constant set land under -1.
-	Codes map[int]uint64
+	Codes map[int]uint64 `json:"codes"`
 }
 
 // knownCommands and knownCodes fix the counter key space at construction so

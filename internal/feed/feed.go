@@ -685,25 +685,25 @@ func sortItems(items []Item) {
 
 // Metrics is a snapshot of the hub's activity counters.
 type Metrics struct {
-	Cursor  uint64
-	Records uint64 // mutation records consumed
-	Batches uint64 // coalesced broadcaster flushes (wakeups, not records)
-	Ops     uint64 // delta operations derived
+	Cursor  uint64 `json:"cursor"`
+	Records uint64 `json:"records"` // mutation records consumed
+	Batches uint64 `json:"batches"` // coalesced broadcaster flushes (wakeups, not records)
+	Ops     uint64 `json:"ops"`     // delta operations derived
 
-	Subscribers      int64  // currently connected /events streams
-	SubscribersTotal uint64 // streams ever accepted
-	SlowDrops        uint64 // queue overflows (subscriber moved to catch-up)
-	Resumes          uint64 // catch-ups served from the ring
-	Resets           uint64 // catch-ups that fell off the ring (full resync)
+	Subscribers      int64  `json:"subscribers"`       // currently connected /events streams
+	SubscribersTotal uint64 `json:"subscribers_total"` // streams ever accepted
+	SlowDrops        uint64 `json:"slow_drops"`        // queue overflows (subscriber moved to catch-up)
+	Resumes          uint64 `json:"resumes"`           // catch-ups served from the ring
+	Resets           uint64 `json:"resets"`            // catch-ups that fell off the ring (full resync)
 
-	DeltaRequests uint64
-	FullRequests  uint64
-	EventRequests uint64
+	DeltaRequests uint64 `json:"delta_requests"`
+	FullRequests  uint64 `json:"full_requests"`
+	EventRequests uint64 `json:"event_requests"`
 
-	RingSegments int
-	RingBytes    int
-	Pending      int // names currently pending delete
-	Cache        gencache.Counters
+	RingSegments int               `json:"ring_segments"`
+	RingBytes    int               `json:"ring_bytes"`
+	Pending      int               `json:"pending"` // names currently pending delete
+	Cache        gencache.Counters `json:"-"`       // published flattened by the caller
 }
 
 // Metrics returns the hub's counters.

@@ -484,20 +484,20 @@ func (j *Journal) Snapshot(appState []byte) error {
 // expvar publication.
 type Metrics struct {
 	// WALBytes is the total frame bytes written to segments.
-	WALBytes uint64
+	WALBytes uint64 `json:"wal_bytes"`
 	// WALFsyncs counts group commits (each one fsync).
-	WALFsyncs uint64
+	WALFsyncs uint64 `json:"wal_fsyncs"`
 	// SnapshotAgeSeconds is the age of the newest snapshot this process
 	// wrote or loaded; -1 before the first one.
-	SnapshotAgeSeconds float64
+	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
 	// RecoveryReplayedRecords is how many WAL records Open replayed.
-	RecoveryReplayedRecords uint64
+	RecoveryReplayedRecords uint64 `json:"recovery_replayed_records"`
 	// RecoverySeconds is how long Open's recovery pass took (0 for a journal
 	// opened without one — OpenExisting).
-	RecoverySeconds float64
+	RecoverySeconds float64 `json:"recovery_seconds"`
 	// RecoveryReplayRPS is the WAL replay throughput of that pass in
 	// records per second.
-	RecoveryReplayRPS float64
+	RecoveryReplayRPS float64 `json:"recovery_replay_rps"`
 }
 
 // Metrics returns the current counter values.

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dropzero/internal/model"
@@ -110,6 +111,25 @@ func (s *Store) AddZone(z zone.Config) error {
 	zt.mu.Unlock()
 	s.installZoneDue()
 	return waitJournal(wait)
+}
+
+// EnsureZones installs each configured zone the store does not host yet. A
+// zone already present, replayed from a recovered journal, must agree with
+// its configuration on TLDs and drop policy.
+func (s *Store) EnsureZones(zs []zone.Config) error {
+	for _, z := range zs {
+		if have, ok := s.ZoneByName(z.Name); ok {
+			if !slices.Equal(have.TLDs, z.TLDs) || have.Policy != z.Policy {
+				return fmt.Errorf("registry: recovered zone %q (%v %s) disagrees with the configured one (%v %s)",
+					z.Name, have.TLDs, have.Policy, z.TLDs, z.Policy)
+			}
+			continue
+		}
+		if err := s.AddZone(z); err != nil {
+			return fmt.Errorf("zone %s: %w", z.Name, err)
+		}
+	}
+	return nil
 }
 
 // installLocked validates uniqueness and appends z under zt.mu.

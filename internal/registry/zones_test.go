@@ -87,6 +87,51 @@ func TestAddZoneRejectsConflicts(t *testing.T) {
 	}
 }
 
+// EnsureZones adds a missing zone, accepts a recovered one that matches its
+// configuration without re-journaling it, and refuses one that disagrees.
+func TestEnsureZones(t *testing.T) {
+	otherPolicy := nordicZone()
+	otherPolicy.Policy = zone.PolicyRandom
+	otherTLDs := nordicZone()
+	otherTLDs.TLDs = []model.TLD{"se"}
+	for _, tc := range []struct {
+		name      string
+		recovered bool
+		want      zone.Config
+		wantErr   bool
+	}{
+		{"added", false, nordicZone(), false},
+		{"recovered and matching", true, nordicZone(), false},
+		{"recovered with another policy", true, otherPolicy, true},
+		{"recovered with other TLDs", true, otherTLDs, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := testStore(t)
+			if tc.recovered {
+				if err := s.applyAddZone(nordicZone()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cap := &captureJournal{}
+			s.SetJournal(cap)
+			err := s.EnsureZones([]zone.Config{tc.want})
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("EnsureZones = %v, want error %v", err, tc.wantErr)
+			}
+			wantRecords := 0
+			if !tc.recovered {
+				wantRecords = 1 // the MutAddZone
+			}
+			if len(cap.records) != wantRecords {
+				t.Errorf("journaled %d records, want %d", len(cap.records), wantRecords)
+			}
+			if z, ok := s.ZoneByName("nordic"); !ok || z.Policy != zone.PolicyInstant {
+				t.Errorf("ZoneByName(nordic) = %+v, %v; want the installed instant zone", z, ok)
+			}
+		})
+	}
+}
+
 // Zone additions travel the same mutation stream as everything else: a
 // replayed MutAddZone must make the TLDs creatable exactly where the original
 // did, so records after it apply cleanly.

@@ -500,16 +500,16 @@ func (f *Follower) Promote(o journal.Options) (*journal.Journal, error) {
 // FollowerMetrics is a point-in-time reading of the replica's counters,
 // shaped for expvar publication and the shutdown summary.
 type FollowerMetrics struct {
-	AppliedSeq  uint64
-	PrimarySeq  uint64
-	SeqLag      uint64
-	PeakSeqLag  uint64
-	PeakTimeLag time.Duration
-	Records     uint64
-	Batches     uint64
-	Snapshots   uint64
-	Reconnects  uint64
-	LogBytes    uint64
+	AppliedSeq  uint64        `json:"applied_seq"`
+	PrimarySeq  uint64        `json:"primary_seq"`
+	SeqLag      uint64        `json:"seq_lag"`
+	PeakSeqLag  uint64        `json:"peak_seq_lag"`
+	PeakTimeLag time.Duration `json:"-"` // published in milliseconds by the caller
+	Records     uint64        `json:"records"`
+	Batches     uint64        `json:"batches"`
+	Snapshots   uint64        `json:"snapshots"`
+	Reconnects  uint64        `json:"reconnects"`
+	LogBytes    uint64        `json:"log_bytes"`
 }
 
 // Metrics returns current counters.

@@ -457,12 +457,12 @@ func (s *Source) Close() error {
 // SourceMetrics is a point-in-time reading of the primary's replication
 // counters, shaped for expvar publication and the shutdown summary.
 type SourceMetrics struct {
-	Followers      int
-	MinAckedSeq    uint64 // 0 when no follower has acked
-	ShippedRecords uint64
-	ShippedBytes   uint64
-	SnapshotsSent  uint64
-	Connects       uint64
+	Followers      int    `json:"followers"`
+	MinAckedSeq    uint64 `json:"min_acked_seq"` // 0 when no follower has acked
+	ShippedRecords uint64 `json:"shipped_records"`
+	ShippedBytes   uint64 `json:"shipped_bytes"`
+	SnapshotsSent  uint64 `json:"snapshots_sent"`
+	Connects       uint64 `json:"connects"`
 }
 
 // Metrics returns current counters.
