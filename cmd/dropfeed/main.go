@@ -1,5 +1,5 @@
-// Command dropfeed is the event-feed correctness smoke: it self-hosts a
-// registry with the feed hub tapped into the mutation stream, runs a
+// Command dropfeed is the event-feed correctness smoke: it boots a
+// memory-only registry node, whose feed hub taps the mutation stream, runs a
 // multi-day Drop with re-registration flaps, and keeps a pool of live SSE
 // subscribers — each maintaining a cursor-applied mirror of the
 // pending-delete list — connected throughout, joining at staggered
@@ -17,14 +17,14 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
 	"strings"
 	"sync"
 	"time"
 
-	"dropzero/internal/dropscope"
 	"dropzero/internal/feed"
 	"dropzero/internal/model"
+	"dropzero/internal/node"
+	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
 )
@@ -48,36 +48,42 @@ func main() {
 func run(subscribers, days, population, queue int, seed int64) error {
 	day := simtime.Day{Year: 2018, Month: time.March, Dom: 8}
 	clock := simtime.NewSimClock(day.At(9, 0, 0))
-	store := registry.NewStore(clock)
-	store.AddRegistrar(model.Registrar{IANAID: 1000})
-	rng := rand.New(rand.NewSource(seed))
-
-	for i := 0; i < population; i++ {
-		name := fmt.Sprintf("feedpop%05d.com", i)
-		updated := day.AddDays(-35).At(6, 30, i%60)
-		status, deleteDay := model.StatusActive, simtime.Day{}
-		if i%2 == 0 {
-			status, deleteDay = model.StatusPendingDelete, day.AddDays(rng.Intn(3))
+	var (
+		rng     *rand.Rand
+		sponsor int
+		seedErr error
+	)
+	const local = "127.0.0.1:0"
+	n, err := node.Open(node.Config{
+		EPP: local, RDAP: local, WHOIS: local, Scope: local, Oracle: local, DNS: local, ZoneFile: local,
+		Seed:          seed,
+		SnapshotEvery: time.Hour, // memory-only: nothing to snapshot
+		FeedQueue:     queue,
+		Clock:         clock,
+	}, func(store *registry.Store, dir *registrars.Directory, r *rand.Rand, _ time.Time) {
+		rng, sponsor = r, dir.Accreditations(registrars.SvcDropCatch)[0]
+		for i := 0; i < population; i++ {
+			name := fmt.Sprintf("feedpop%05d.com", i)
+			updated := day.AddDays(-35).At(6, 30, i%60)
+			status, deleteDay := model.StatusActive, simtime.Day{}
+			if i%2 == 0 {
+				status, deleteDay = model.StatusPendingDelete, day.AddDays(rng.Intn(3))
+			}
+			if _, err := store.SeedAt(name, sponsor, updated.AddDate(-2, 0, 0), updated,
+				updated.AddDate(1, 0, 0), status, deleteDay); err != nil && seedErr == nil {
+				seedErr = err
+			}
 		}
-		if _, err := store.SeedAt(name, 1000, updated.AddDate(-2, 0, 0), updated,
-			updated.AddDate(1, 0, 0), status, deleteDay); err != nil {
-			return err
-		}
-	}
-
-	hub := feed.NewHub(feed.Options{QueueLen: queue})
-	defer hub.Close()
-	hub.PrimeFromStore(store)
-	store.SetJournal(hub)
-
-	scopeSrv := dropscope.NewServer(store)
-	scopeSrv.AttachFeed(hub)
-	addr, err := scopeSrv.Listen("127.0.0.1:0")
+	})
 	if err != nil {
 		return err
 	}
-	defer scopeSrv.Close()
-	base := "http://" + addr.String()
+	defer n.Close()
+	if seedErr != nil {
+		return seedErr
+	}
+	store, hub := n.Store(), n.Feed()
+	base := "http://" + n.Addr("pending-delete list").String()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -151,7 +157,7 @@ func run(subscribers, days, population, queue int, seed int64) error {
 		for i := 0; i < 10; i++ {
 			name := fmt.Sprintf("feedpop%05d.com", rng.Intn(population))
 			if i%3 == 0 {
-				store.Renew(name, 1000, 1)
+				store.Renew(name, sponsor, 1)
 			} else {
 				store.MarkPendingDelete(name, clock.Now(), when.AddDays(1+rng.Intn(2)))
 			}
@@ -170,7 +176,7 @@ func run(subscribers, days, population, queue int, seed int64) error {
 		for i := 0; i < 5 && len(purged) > 0; i++ {
 			name := purged[len(purged)-1]
 			purged = purged[:len(purged)-1]
-			if _, err := store.CreateAt(name, 1000, 1, clock.Now()); err != nil {
+			if _, err := store.CreateAt(name, sponsor, 1, clock.Now()); err != nil {
 				return err
 			}
 			if i%2 == 0 {
@@ -193,8 +199,7 @@ func run(subscribers, days, population, queue int, seed int64) error {
 	for _, m := range mirrors {
 		for m.Cursor() < target {
 			if time.Now().After(deadline) {
-				fmt.Fprintf(os.Stderr, "dropfeed: FAIL: mirror stuck at cursor %d, feed at %d\n", m.Cursor(), target)
-				os.Exit(1)
+				return fmt.Errorf("FAIL: mirror stuck at cursor %d, feed at %d", m.Cursor(), target)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -202,8 +207,7 @@ func run(subscribers, days, population, queue int, seed int64) error {
 	cancel()
 	wg.Wait()
 	if len(subErrs) > 0 {
-		fmt.Fprintf(os.Stderr, "dropfeed: FAIL: %d subscriber stream errors, first: %v\n", len(subErrs), subErrs[0])
-		os.Exit(1)
+		return fmt.Errorf("FAIL: %d subscriber stream errors, first: %v", len(subErrs), subErrs[0])
 	}
 
 	// The audit: every cursor-applied mirror must render the server's full
@@ -213,19 +217,19 @@ func run(subscribers, days, population, queue int, seed int64) error {
 		return err
 	}
 	want := render(truth.Items())
-	diverged := 0
+	var diverged []int
 	for i, m := range mirrors {
-		if got := render(m.Items()); got != want {
-			diverged++
-			if diverged == 1 {
-				fmt.Fprintf(os.Stderr, "dropfeed: FAIL: subscriber %d mirror diverged at cursor %d:\nmirror:\n%sserver:\n%s",
-					i, m.Cursor(), got, want)
-			}
+		if render(m.Items()) != want {
+			diverged = append(diverged, i)
 		}
 	}
-	if diverged > 0 {
-		fmt.Fprintf(os.Stderr, "dropfeed: FAIL: %d/%d mirrors diverged\n", diverged, len(mirrors))
-		os.Exit(1)
+	if len(diverged) > 0 {
+		i := diverged[0]
+		return fmt.Errorf("FAIL: %d/%d mirrors diverged; subscriber %d at cursor %d:\nmirror:\n%sserver:\n%s",
+			len(diverged), len(mirrors), i, mirrors[i].Cursor(), render(mirrors[i].Items()), want)
+	}
+	if err := n.Close(); err != nil {
+		return err
 	}
 
 	m := hub.Metrics()

@@ -1,14 +1,15 @@
-// Command droprepl is the replication smoke test: it wires a semi-sync
-// primary to two TCP replicas, proves every read surface renders
-// byte-identical on all three, then races a Drop against a create burst,
-// kills the primary mid-storm, promotes the most-advanced replica and
+// Command droprepl is the replication smoke test: it boots a semi-sync
+// primary node and two replica nodes over TCP, proves every read surface
+// renders byte-identical on all three, then races a Drop against a create
+// burst, kills the primary mid-storm, promotes the most-advanced replica and
 // audits that no acknowledged mutation was lost.
 //
 //	droprepl -domains 300 -writers 4 -creates 40
 //
-// The run exits non-zero if any surface diverges, any acked create or
-// catch is missing after failover, any acked purge resurfaces, or the
-// promoted replica refuses writes. CI uses this as the failover smoke.
+// The run exits non-zero if a replica did not bootstrap from a snapshot, any
+// surface diverges, any acked create or catch is missing after failover, any
+// acked purge resurfaces, or the promoted replica refuses an EPP create. CI
+// uses this as the failover smoke.
 package main
 
 import (
@@ -25,10 +26,13 @@ import (
 	"time"
 
 	"dropzero/internal/dropscope"
+	"dropzero/internal/epp"
 	"dropzero/internal/inproc"
 	"dropzero/internal/journal"
 	"dropzero/internal/model"
+	"dropzero/internal/node"
 	"dropzero/internal/rdap"
+	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
 	"dropzero/internal/repl"
 	"dropzero/internal/simtime"
@@ -47,16 +51,15 @@ func main() {
 	domains := flag.Int("domains", 300, "seeded domains on the primary")
 	writers := flag.Int("writers", 4, "concurrent create writers during the race")
 	creates := flag.Int("creates", 40, "fresh creates attempted per writer")
-	verbose := flag.Bool("v", false, "log per-phase detail")
 	flag.Parse()
 
-	if err := run(*domains, *writers, *creates, *verbose); err != nil {
+	if err := run(*domains, *writers, *creates); err != nil {
 		fmt.Fprintf(os.Stderr, "droprepl: FAIL\n  %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(domains, writers, creates int, verbose bool) error {
+func run(domains, writers, creates int) error {
 	day := simtime.Day{Year: 2018, Month: time.March, Dom: 8}
 	clock := simtime.NewSimClock(day.At(18, 0, 0))
 	base, err := os.MkdirTemp("", "droprepl-*")
@@ -64,87 +67,76 @@ func run(domains, writers, creates int, verbose bool) error {
 		return err
 	}
 	defer os.RemoveAll(base)
+	const local = "127.0.0.1:0"
+	config := func(dir string, clock simtime.Clock) node.Config {
+		return node.Config{
+			EPP: local, RDAP: local, WHOIS: local, Scope: local, Oracle: local, DNS: local, ZoneFile: local,
+			DataDir:       base + "/" + dir,
+			Durability:    journal.ModeSync,
+			SnapshotEvery: time.Hour,
+			Clock:         clock,
+		}
+	}
 
-	// Primary: sync journal, seeded population, snapshot so the replicas
-	// bootstrap through the snapshot path, then a post-snapshot tail.
-	store := registry.NewStore(clock)
-	jnl, _, err := journal.Open(store, journal.Options{Dir: base + "/primary", Mode: journal.ModeSync})
+	// Primary: sync WAL and semi-sync to one follower, so from the first
+	// post-seed mutation on a nil error means the mutation is durable locally
+	// AND applied by at least one replica. Open snapshots the fresh seed, so
+	// the replicas bootstrap through the snapshot path.
+	pcfg := config("primary", clock)
+	pcfg.ListenReplication = local
+	pcfg.SyncFollowers = 1
+	var (
+		names   []string
+		seedErr error
+	)
+	primary, err := node.Open(pcfg, func(store *registry.Store, _ *registrars.Directory, _ *rand.Rand, _ time.Time) {
+		names, seedErr = seedPrimary(store, domains, day)
+	})
 	if err != nil {
 		return err
 	}
-	store.SetJournal(jnl)
-	store.AddRegistrar(model.Registrar{IANAID: seedRegistrar, Name: "Repl Smoke Seeder"})
-	store.AddRegistrar(model.Registrar{IANAID: catchRegistrar, Name: "Repl Smoke Catcher"})
-	names := make([]string, 0, domains)
-	for i := 0; i < domains; i++ {
-		name := fmt.Sprintf("repl-smoke-%04d.com", i)
-		at := day.AddDays(-40).At(6, 0, i%60)
-		if _, err := store.CreateAt(name, seedRegistrar, 1, at); err != nil {
+	defer primary.Close()
+	if seedErr != nil {
+		return seedErr
+	}
+	store := primary.Store()
+
+	// Time-to-first-serve: replica cold start to fully caught up (snapshot
+	// bootstrap) — the window in which a hot spare is not yet one.
+	replicas := make([]*node.Node, 2)
+	for i := range replicas {
+		cfg := config(fmt.Sprintf("replica%d", i+1), simtime.NewSimClock(day.At(18, 0, 0)))
+		cfg.ReplicateFrom = primary.Addr("replication").String()
+		started := time.Now()
+		r, err := node.Open(cfg, nil)
+		if err != nil {
 			return err
 		}
-		if i%4 == 0 {
-			if err := store.MarkPendingDelete(name, at.Add(time.Hour), day); err != nil {
-				return err
-			}
+		defer r.Close()
+		replicas[i] = r
+		if err := waitGeneration(r, store.Generation()); err != nil {
+			return err
 		}
-		names = append(names, name)
+		log.Printf("replica %d time-to-first-serve: %v (bootstrapped to generation %d)",
+			i+1, time.Since(started).Round(time.Millisecond), r.Store().Generation())
 	}
-	if err := jnl.Snapshot(nil); err != nil {
-		return err
-	}
+	// A post-snapshot tail the replicas receive as WAL records.
 	for i := 0; i < 32; i++ {
 		if err := store.TouchAt(names[i], seedRegistrar, day.At(18, 30, i%60)); err != nil {
 			return err
 		}
 	}
-
-	src := repl.NewSource(jnl, repl.SourceConfig{SyncFollowers: 1, SyncTimeout: 10 * time.Second})
-	addr, err := src.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	newReplica := func(i int) (*repl.Follower, *registry.Store, error) {
-		fstore := registry.NewStore(simtime.NewSimClock(day.At(18, 0, 0)))
-		cfg := repl.FollowerConfig{
-			Dir:           fmt.Sprintf("%s/replica%d", base, i),
-			Addr:          addr.String(),
-			ReconnectWait: 50 * time.Millisecond,
-		}
-		if verbose {
-			cfg.Logf = log.Printf
-		}
-		f, err := repl.NewFollower(fstore, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		f.Start()
-		return f, fstore, nil
-	}
-	started1 := time.Now()
-	f1, fstore1, err := newReplica(1)
-	if err != nil {
-		return err
-	}
-	defer f1.Close()
-	started2 := time.Now()
-	f2, fstore2, err := newReplica(2)
-	if err != nil {
-		return err
-	}
-	defer f2.Close()
-	replicas := []*repl.Follower{f1, f2}
-	rstores := []*registry.Store{fstore1, fstore2}
-	// Time-to-first-serve: replica cold start to fully caught up (snapshot
-	// bootstrap + batch catch-up) — the window in which a hot spare is not
-	// yet one.
-	for i, f := range replicas {
-		if err := waitApplied(f, jnl.LastSeq()); err != nil {
+	for _, r := range replicas {
+		if err := waitGeneration(r, store.Generation()); err != nil {
 			return err
 		}
-		ttfs := time.Since([]time.Time{started1, started2}[i])
-		log.Printf("replica %d time-to-first-serve: %v (bootstrapped to seq %d)", i+1, ttfs.Round(time.Millisecond), f.AppliedSeq())
 	}
-	log.Printf("primary + 2 replicas caught up at seq %d", jnl.LastSeq())
+	log.Printf("primary + 2 replicas caught up at generation %d", store.Generation())
+	// Checked after the tail: the source counts a snapshot once it is sent,
+	// and ships the tail on the same connection only after that.
+	if m, _ := primary.Vars()["repl_source"].(repl.SourceMetrics); m.SnapshotsSent < uint64(len(replicas)) {
+		return fmt.Errorf("primary sent %d snapshots, want one per replica: a replica bootstrapped without one", m.SnapshotsSent)
+	}
 
 	// Phase 1: every read surface must render byte-identical on all three.
 	sample := append([]string{}, names[:8]...)
@@ -153,11 +145,11 @@ func run(domains, writers, creates int, verbose bool) error {
 	if err != nil {
 		return fmt.Errorf("render primary: %w", err)
 	}
-	for i, rs := range rstores {
-		if pg, rg := store.Generation(), rs.Generation(); pg != rg {
+	for i, r := range replicas {
+		if pg, rg := store.Generation(), r.Store().Generation(); pg != rg {
 			return fmt.Errorf("replica%d generation %d != primary %d", i+1, rg, pg)
 		}
-		got, err := renderSurfaces(rs, sample, day)
+		got, err := renderSurfaces(r.Store(), sample, day)
 		if err != nil {
 			return fmt.Errorf("render replica%d: %w", i+1, err)
 		}
@@ -167,11 +159,7 @@ func run(domains, writers, creates int, verbose bool) error {
 	}
 	log.Printf("surfaces byte-identical across %d rendered reads (RDAP, WHOIS, dropscope)", len(want))
 
-	// Phase 2: semi-sync — from here on a nil error means the mutation is
-	// durable locally AND applied by at least one replica.
-	store.SetJournal(&repl.SyncJournal{J: jnl, S: src})
-
-	// Phase 3: race the Drop against a create burst, then kill the primary
+	// Phase 2: race the Drop against a create burst, then kill the primary
 	// partway through. Everything acked before the kill must survive.
 	runner := registry.NewDropRunner(store, registry.DropConfig{StartHour: 19, BaseRatePerSec: 20})
 	sched := runner.Schedule(day, rand.New(rand.NewSource(1)))
@@ -179,14 +167,16 @@ func run(domains, writers, creates int, verbose bool) error {
 
 	var (
 		ackMu       sync.Mutex
-		ackedNames  []string                      // fresh creates + catches acked to a client
-		ackedPurges = map[string]uint64{}         // name -> purged domain ID
+		ackedNames  []string              // fresh creates + catches acked to a client
+		ackedPurges = map[string]uint64{} // name -> purged domain ID
 		catchCh     = make(chan string, len(sched))
 		kill        = make(chan struct{})
 		killOnce    sync.Once
 		wg          sync.WaitGroup
 	)
-	killPrimary := func() { killOnce.Do(func() { close(kill); src.Close() }) }
+	// The kill: from here on nothing reaches a follower, so every later
+	// mutation fails unacknowledged. What Close reports no longer matters.
+	killPrimary := func() { killOnce.Do(func() { close(kill); primary.Close() }) }
 	killed := func() bool {
 		select {
 		case <-kill:
@@ -257,33 +247,30 @@ func run(domains, writers, creates int, verbose bool) error {
 	}
 	wg.Wait()
 	killPrimary() // in case the schedule was too short to reach the trigger
-	jnl.Close()
 	log.Printf("primary killed: %d acked creates, %d acked purges", len(ackedNames), len(ackedPurges))
 	if len(ackedNames) == 0 || len(ackedPurges) == 0 {
 		return fmt.Errorf("race produced no acked work (creates=%d purges=%d); smoke is vacuous",
 			len(ackedNames), len(ackedPurges))
 	}
 
-	// Phase 4: promote the most-advanced replica.
-	if err := f1.Close(); err != nil {
+	// Phase 3: promote the most-advanced replica. Every acked mutation was
+	// applied by some replica before it was acknowledged, and both apply one
+	// stream, so the higher generation holds them all.
+	winner, other := replicas[0], replicas[1]
+	if other.Store().Generation() > winner.Store().Generation() {
+		winner, other = other, winner
+	}
+	if err := other.Close(); err != nil {
 		return err
 	}
-	if err := f2.Close(); err != nil {
+	log.Printf("promoting replica at generation %d (other at %d)", winner.Store().Generation(), other.Store().Generation())
+	if err := winner.Promote(); err != nil {
 		return err
 	}
-	winner, wstore := f1, fstore1
-	if f2.AppliedSeq() > f1.AppliedSeq() {
-		winner, wstore = f2, fstore2
-	}
-	log.Printf("promoting replica at seq %d (other at %d)", winner.AppliedSeq(), f1.AppliedSeq()+f2.AppliedSeq()-winner.AppliedSeq())
-	pj, err := winner.Promote(journal.Options{Mode: journal.ModeSync})
-	if err != nil {
-		return fmt.Errorf("promote: %w", err)
-	}
-	defer pj.Close()
 
-	// Phase 5: audit. Every acked create must exist; every acked purge must
+	// Phase 4: audit. Every acked create must exist; every acked purge must
 	// be gone (or superseded by a caught re-registration with a new ID).
+	wstore := winner.Store()
 	var lost []string
 	for _, name := range ackedNames {
 		if _, err := wstore.Get(name); err != nil {
@@ -303,13 +290,10 @@ func run(domains, writers, creates int, verbose bool) error {
 		return fmt.Errorf("acked mutations lost across failover:\n  %v", lost)
 	}
 
-	// The promoted replica must accept writes and advance its own journal.
-	seqBefore := pj.LastSeq()
-	if _, err := wstore.CreateAt("post-failover.com", catchRegistrar, 1, clock.Now()); err != nil {
+	// The promoted replica must take an EPP create: its write gate is lifted
+	// and, the WAL being sync, the ack means its own journal holds the create.
+	if err := eppCreate(winner, "post-failover.com"); err != nil {
 		return fmt.Errorf("promoted replica rejected a write: %w", err)
-	}
-	if pj.LastSeq() <= seqBefore {
-		return fmt.Errorf("promoted journal did not advance (seq %d)", pj.LastSeq())
 	}
 
 	fmt.Printf("PASS: surfaces byte-identical, %d acked creates and %d acked purges survived failover, promoted replica writable\n",
@@ -317,19 +301,54 @@ func run(domains, writers, creates int, verbose bool) error {
 	return nil
 }
 
-// waitApplied polls until the follower has applied seq.
-func waitApplied(f *repl.Follower, seq uint64) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for f.AppliedSeq() < seq {
-		if err := f.Err(); err != nil {
-			return fmt.Errorf("follower died at seq %d waiting for %d: %w", f.AppliedSeq(), seq, err)
+// seedPrimary registers the smoke's two registrars and seeds domains names,
+// a quarter of them pending delete on day.
+func seedPrimary(store *registry.Store, domains int, day simtime.Day) ([]string, error) {
+	store.AddRegistrar(model.Registrar{IANAID: seedRegistrar, Name: "Repl Smoke Seeder"})
+	store.AddRegistrar(model.Registrar{IANAID: catchRegistrar, Name: "Repl Smoke Catcher"})
+	names := make([]string, 0, domains)
+	for i := 0; i < domains; i++ {
+		name := fmt.Sprintf("repl-smoke-%04d.com", i)
+		at := day.AddDays(-40).At(6, 0, i%60)
+		if _, err := store.CreateAt(name, seedRegistrar, 1, at); err != nil {
+			return nil, err
 		}
+		if i%4 == 0 {
+			if err := store.MarkPendingDelete(name, at.Add(time.Hour), day); err != nil {
+				return nil, err
+			}
+		}
+		names = append(names, name)
+	}
+	return names, nil
+}
+
+// waitGeneration polls until n's store reaches generation gen.
+func waitGeneration(n *node.Node, gen uint64) error {
+	deadline := time.Now().Add(15 * time.Second)
+	for n.Store().Generation() < gen {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("follower stuck at seq %d waiting for %d", f.AppliedSeq(), seq)
+			return fmt.Errorf("replica stuck at generation %d waiting for %d", n.Store().Generation(), gen)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	return nil
+}
+
+// eppCreate registers name through n's EPP listener as one of its
+// directory's accreditations.
+func eppCreate(n *node.Node, name string) error {
+	c, err := epp.Dial(n.Addr("EPP").String())
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	id := n.Directory().Accreditations(registrars.Svc1API)[0]
+	if err := c.Login(id, n.Directory().Credential(id)); err != nil {
+		return err
+	}
+	_, err = c.Create(name, 1)
+	return err
 }
 
 // surface is one rendered read: status, body bytes and the cache validator.

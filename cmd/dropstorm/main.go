@@ -1,11 +1,12 @@
 // Command dropstorm runs a drop-catch create storm against a live EPP
-// registry and audits the outcome. By default it self-hosts a registry with
-// the simulated registrar ecosystem, seeds contested pending-delete names,
-// executes the Drop, and storms it with the calibrated per-service client
-// profiles (DropCatch most aggressive, the retail registrars compliant).
+// registry and audits the outcome. It boots a memory-only registry node
+// with the simulated registrar ecosystem, seeds contested pending-delete
+// names, executes the Drop, and storms the node's EPP listener over TCP with
+// the calibrated per-service client profiles (DropCatch most aggressive, the
+// retail registrars compliant).
 //
 //	dropstorm -names 16 -services DropCatch,SnapNames,Pheenix
-//	dropstorm -transport inproc -names 64 -scale 0.5
+//	dropstorm -names 64 -scale 0.5
 //	dropstorm -names 24 -zones "nordic=se+nu:instant@19:05;alt=org:random"
 //
 // With -zones the storm federates: contested names spread round-robin over
@@ -26,9 +27,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
-	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -37,6 +35,7 @@ import (
 	"dropzero/internal/epp"
 	"dropzero/internal/feed"
 	"dropzero/internal/model"
+	"dropzero/internal/node"
 	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
@@ -51,129 +50,96 @@ func main() {
 	nNames := flag.Int("names", 16, "contested pending-delete names to drop")
 	services := flag.String("services", "DropCatch,SnapNames,Pheenix,GoDaddy",
 		"comma-separated services to storm with (see internal/registrars)")
-	transport := flag.String("transport", "tcp", "EPP transport: tcp or inproc")
 	scale := flag.Float64("scale", 0.25, "session-pool scale factor applied to each service's calibrated spec")
 	dropSpacing := flag.Duration("drop-spacing", 25*time.Millisecond, "gap between consecutive deletions")
 	dropStart := flag.Duration("drop-start", 250*time.Millisecond, "first deletion instant after storm start")
-	burst := flag.Float64("burst", 20, "per-accreditation create token burst")
-	rate := flag.Float64("rate", 5, "per-accreditation create token refill per second")
 	seed := flag.Int64("seed", 1, "ecosystem seed")
 	subscribers := flag.Int("subscribers", 16, "live event-feed subscribers riding along with the storm (0 = no feed)")
 	zoneSpecs := flag.String("zones", "", "federate the storm: extra zones as semicolon-separated name=tld[+tld...]:policy[@HH:MM] specs; names spread round-robin over every hosted TLD")
 	verbose := flag.Bool("v", false, "print the per-profile attempt breakdown")
 	flag.Parse()
 
-	if err := run(*nNames, *services, *transport, *zoneSpecs, *scale, *dropSpacing, *dropStart, *burst, *rate, *seed, *subscribers, *verbose); err != nil {
+	if err := run(*nNames, *services, *zoneSpecs, *scale, *dropSpacing, *dropStart, *seed, *subscribers, *verbose); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(nNames int, services, transport, zoneSpecs string, scale float64,
-	dropSpacing, dropStart time.Duration, burst, rate float64, seed int64, subscribers int, verbose bool) error {
+func run(nNames int, services, zoneSpecs string, scale float64,
+	dropSpacing, dropStart time.Duration, seed int64, subscribers int, verbose bool) error {
 	day := simtime.Day{Year: 2018, Month: time.March, Dom: 8}
 	clock := simtime.NewSimClock(day.At(18, 59, 0))
-	rng := rand.New(rand.NewSource(seed))
-	dir := registrars.BuildDirectory(rng)
-	store := registry.NewStoreWithShards(clock, 0)
-	for _, r := range dir.Registrars() {
-		store.AddRegistrar(r)
-	}
-
-	// Federated storms install their extra zones first; the contested names
-	// then spread round-robin over every hosted TLD so each zone gets a
-	// group to drop.
 	zones, err := zone.ParseSpecs(zoneSpecs)
 	if err != nil {
 		return err
 	}
-	for _, z := range zones {
-		if err := store.AddZone(z); err != nil {
-			return err
-		}
-	}
-	tlds := []model.TLD{"com"}
-	if len(zones) > 0 {
-		tlds = tlds[:0]
-		for _, z := range store.Zones() {
-			tlds = append(tlds, z.TLDs...)
-		}
-	}
 
-	// Seed the contested names pendingDelete, due today.
-	names := make([]string, nNames)
-	sponsor := dir.Accreditations(registrars.SvcOther)[0]
-	for i := range names {
-		names[i] = fmt.Sprintf("contested%04d.%s", i, tlds[i%len(tlds)])
-		updated := day.AddDays(-35).At(6, 30, i%60)
-		if _, err := store.SeedAt(names[i], sponsor, updated.AddDate(-2, 0, 0), updated,
-			updated.AddDate(0, 0, -30), model.StatusPendingDelete, day); err != nil {
-			return err
-		}
-	}
-
-	// The event-feed pool: live SSE subscribers watching the Drop through the
-	// hub while the create storm rages, so the report can print fan-out lag
-	// (mutation append to subscriber receipt) next to replication lag. The
-	// hub taps the store's journal hook; dropstorm runs memory-only, so the
-	// hub IS the journal.
+	// Seed the contested names pendingDelete, due today. A federated storm
+	// spreads them round-robin over every hosted TLD so each zone gets a
+	// group to drop. The Drop schedule draws from the seed callback's rng:
+	// Open draws only the registrar directory from -seed before it.
 	var (
-		hub       *feed.Hub
-		subCancel context.CancelFunc
-		subWG     sync.WaitGroup
+		rng     *rand.Rand
+		names   = make([]string, nNames)
+		seedErr error
 	)
-	if subscribers > 0 {
-		hub = feed.NewHub(feed.Options{})
-		defer hub.Close()
-		hub.PrimeFromStore(store)
-		store.SetJournal(hub)
-		mux := http.NewServeMux()
-		hub.Register(mux, "")
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		feedSrv := &http.Server{Handler: mux}
-		go feedSrv.Serve(ln)
-		defer feedSrv.Close()
-		base := "http://" + ln.Addr().String()
-		ctx, cancel := context.WithCancel(context.Background())
-		subCancel = cancel
-		defer cancel()
-		for i := 0; i < subscribers; i++ {
-			sub, err := feed.Subscribe(ctx, nil, base, -1, nil)
-			if err != nil {
-				return fmt.Errorf("feed subscriber %d: %w", i, err)
+	const local = "127.0.0.1:0"
+	n, err := node.Open(node.Config{
+		EPP: local, RDAP: local, WHOIS: local, Scope: local, Oracle: local, DNS: local, ZoneFile: local,
+		Seed:          seed,
+		SnapshotEvery: time.Hour, // memory-only: nothing to snapshot
+		Zones:         zones,
+		Clock:         clock,
+	}, func(store *registry.Store, dir *registrars.Directory, r *rand.Rand, _ time.Time) {
+		rng = r
+		tlds := []model.TLD{"com"}
+		if len(zones) > 0 {
+			tlds = tlds[:0]
+			for _, z := range store.Zones() {
+				tlds = append(tlds, z.TLDs...)
 			}
-			subWG.Add(1)
-			go func() {
-				defer subWG.Done()
-				defer sub.Close()
-				for {
-					if _, err := sub.Next(); err != nil {
-						return
-					}
-				}
-			}()
 		}
-	}
-
-	srv := epp.NewServer(store, clock, epp.ServerConfig{
-		Credentials: dir.Credentials(),
-		CreateBurst: burst,
-		CreateRate:  rate,
+		sponsor := dir.Accreditations(registrars.SvcOther)[0]
+		for i := range names {
+			names[i] = fmt.Sprintf("contested%04d.%s", i, tlds[i%len(tlds)])
+			updated := day.AddDays(-35).At(6, 30, i%60)
+			if _, err := store.SeedAt(names[i], sponsor, updated.AddDate(-2, 0, 0), updated,
+				updated.AddDate(0, 0, -30), model.StatusPendingDelete, day); err != nil && seedErr == nil {
+				seedErr = err
+			}
+		}
 	})
-	defer srv.Close()
-	dial := func() (*epp.Client, error) { return srv.ConnectInProc(), nil }
-	if transport == "tcp" {
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		dial = func() (*epp.Client, error) { return epp.Dial(addr.String()) }
-	} else if transport != "inproc" {
-		return fmt.Errorf("unknown transport %q (want tcp or inproc)", transport)
+	if err != nil {
+		return err
 	}
+	defer n.Close()
+	if seedErr != nil {
+		return seedErr
+	}
+	store, dir, hub := n.Store(), n.Directory(), n.Feed()
 
+	// The event-feed pool: live SSE subscribers on the node's /events,
+	// watching the Drop while the create storm rages, so the report can print
+	// fan-out lag (mutation append to subscriber receipt).
+	ctx, cancelSubs := context.WithCancel(context.Background())
+	defer cancelSubs()
+	var subWG sync.WaitGroup
+	base := "http://" + n.Addr("pending-delete list").String()
+	for i := 0; i < subscribers; i++ {
+		sub, err := feed.Subscribe(ctx, nil, base, -1, nil)
+		if err != nil {
+			return fmt.Errorf("feed subscriber %d: %w", i, err)
+		}
+		subWG.Add(1)
+		go func() {
+			defer subWG.Done()
+			defer sub.Close()
+			for {
+				if _, err := sub.Next(); err != nil {
+					return
+				}
+			}
+		}()
+	}
 	// Plan each zone's Drop and map it to per-name purge callbacks. The
 	// single-zone path keeps the legacy unscoped paced runner; a federated
 	// storm drops every zone concurrently under its own release policy, an
@@ -261,10 +227,9 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	// The registry runs on a SimClock so the seeded lifecycle state and the
 	// Drop schedule are deterministic, but the storm itself happens in real
 	// time: advance virtual time at wall pace for the storm's duration so
-	// the per-accreditation token buckets refill at -rate tokens/second the
-	// way they would against a real clock. Nothing else Sets the clock while
-	// the storm runs (DropRunner.Apply only purges), so the monotonic Set is
-	// race-free.
+	// the node's per-accreditation token buckets refill the way they would
+	// against a real clock. Nothing else Sets the clock while the storm runs
+	// (DropRunner.Apply only purges), so the monotonic Set is race-free.
 	stormStart := clock.Now()
 	wallStart := time.Now()
 	stopTick := make(chan struct{})
@@ -284,10 +249,10 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	}()
 	defer func() { close(stopTick); <-tickDone }()
 
-	fmt.Printf("storming %d names over %s with %d services across %d zones\n",
-		nNames, transport, len(profiles), len(store.Zones()))
+	fmt.Printf("storming %d names over tcp with %d services across %d zones\n",
+		nNames, len(profiles), len(store.Zones()))
 	rep, err := storm.Run(storm.Config{
-		Dial:        dial,
+		Dial:        func() (*epp.Client, error) { return epp.Dial(n.Addr("EPP").String()) },
 		Credential:  dir.Credential,
 		Names:       names,
 		DropOffsets: offsets,
@@ -301,14 +266,14 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	if err != nil {
 		return err
 	}
-	if hub != nil {
+	if subscribers > 0 {
 		// Let the last purge's broadcast land before freezing the histogram,
 		// then hang up the pool.
 		hub.Quiesce()
 		rep.AttachFanoutLag(hub.FanoutLag())
-		subCancel()
-		subWG.Wait()
 	}
+	cancelSubs()
+	subWG.Wait()
 	printReport(rep, verbose)
 	if len(rep.ByZone) > 1 {
 		policyOf := make(map[string]zone.PolicyKind)
@@ -343,11 +308,10 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 		failures = append(failures, fmt.Sprintf("%d transport/unexpected errors", rep.Creates.Errors))
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "dropstorm: FAIL\n")
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "  %s\n", f)
-		}
-		os.Exit(1)
+		return fmt.Errorf("FAIL\n  %s", strings.Join(failures, "\n  "))
+	}
+	if err := n.Close(); err != nil {
+		return err
 	}
 	fmt.Printf("PASS: %d names, exactly one winner each, zero lost acks\n", len(rep.Winners))
 	return nil
@@ -390,11 +354,6 @@ func printReport(rep *storm.Report, verbose bool) {
 		fmt.Printf("re-registration delay: min=%v median=%v max=%v\n",
 			delays[0].Round(time.Microsecond), delays[n/2].Round(time.Microsecond),
 			delays[n-1].Round(time.Microsecond))
-	}
-	if lag := rep.ReplicationLag; lag != nil {
-		fmt.Printf("replication lag (%d batches) p50=%v p95=%v p99=%v peak=%v\n",
-			lag.Requests, lag.P50().Round(time.Microsecond), lag.P95().Round(time.Microsecond),
-			lag.P99().Round(time.Microsecond), lag.Percentile(100).Round(time.Microsecond))
 	}
 	if lag := rep.FanoutLag; lag != nil {
 		fmt.Printf("fan-out lag (%d deliveries) p50=%v p95=%v p99=%v peak=%v\n",

@@ -174,8 +174,18 @@ func Open(cfg Config, seed func(store *registry.Store, dir *registrars.Directory
 			if err := n.store.EnsureZones(cfg.Zones); err != nil {
 				return err
 			}
-			if rec.Fresh() && seed != nil {
+			if !rec.Fresh() {
+				return nil
+			}
+			if seed != nil {
 				seed(n.store, n.dir, rng, cfg.Clock.Now())
+			}
+			// The first follower bootstraps from this snapshot instead of
+			// replaying the whole seed from the WAL.
+			if jnl != nil {
+				if err := jnl.Snapshot(nil); err != nil {
+					return fmt.Errorf("snapshot: %w", err)
+				}
 			}
 			return nil
 		})
@@ -201,7 +211,8 @@ func Open(cfg Config, seed func(store *registry.Store, dir *registrars.Directory
 // EPP's read-only gate. It owns jnl, closing it on failure. originate runs
 // before the quorum wait joins the chain, so a fresh primary's bulk history
 // reaches followers by snapshot instead of blocking on followers that have
-// not connected yet.
+// not connected yet; Open snapshots that history before the replication
+// listener opens.
 func (n *Node) becomePrimary(jnl *journal.Journal, originate func() error) (err error) {
 	p := &primary{
 		jnl:  jnl,
@@ -326,6 +337,15 @@ func (n *Node) Store() *registry.Store { return n.store }
 
 // Directory returns the registrar directory behind the EPP credentials.
 func (n *Node) Directory() *registrars.Directory { return n.dir }
+
+// Feed returns the event-feed hub behind the pending-delete list, or nil on
+// an unpromoted replica.
+func (n *Node) Feed() *feed.Hub {
+	if p := n.primary.Load(); p != nil {
+		return p.hub
+	}
+	return nil
+}
 
 // Close shuts the node down: EPP first, draining its sessions, then the
 // background loop, replication and finally the journal's flush, so every

@@ -164,6 +164,11 @@ func TestPromotedReplicaRunsThePrimaryStack(t *testing.T) {
 	}
 	last := primary.primary.Load().jnl.LastSeq()
 	waitFor(t, "the replica to catch up", func() bool { return replica.follower.AppliedSeq() >= last })
+	// The replica joined a fresh primary, so it bootstrapped from the
+	// snapshot Open took of the seed rather than replaying it from the WAL.
+	if sent := primary.primary.Load().source.Metrics().SnapshotsSent; sent != 1 {
+		t.Errorf("primary sent %d snapshots to the joining replica, want 1", sent)
+	}
 
 	if err := primary.Close(); err != nil {
 		t.Fatalf("closing the primary: %v", err)
